@@ -145,6 +145,10 @@ type Instr struct {
 
 // Value is a VM value: integers and booleans in I, floats in F, and heap
 // entities (closures, arrays, tuples, pointers) in Ref.
+//
+// A pointer is never boxed: a cell or global pointer is Ref *Value, and a
+// pointer to an array element is Ref *elemRef (the array) with the index
+// in I. Both are pointer-shaped, so storing them in Ref does not allocate.
 type Value struct {
 	I   int64
 	F   float64
@@ -162,33 +166,34 @@ type Array struct {
 	Elems []Value
 }
 
-// Ptr points either at a single cell or at an array element.
-type Ptr struct {
-	Cell *Value
-	Arr  *Array
-	Idx  int
+// elemRef is the array an element pointer points into; the distinct type
+// tells it apart from the array value itself.
+type elemRef Array
+
+// arrayOf returns the array behind an array or element-pointer value.
+func arrayOf(v Value) (*Array, bool) {
+	switch a := v.Ref.(type) {
+	case *Array:
+		return a, true
+	case *elemRef:
+		return (*Array)(a), true
+	}
+	return nil, false
 }
 
-func (p Ptr) check() error {
-	if p.Cell == nil && (p.Idx < 0 || p.Idx >= len(p.Arr.Elems)) {
-		return fmt.Errorf("index %d out of bounds [0,%d)", p.Idx, len(p.Arr.Elems))
+// cell returns the storage a pointer value designates for the load or
+// store op of fn, checking an element pointer's bounds at the access.
+func cell(fn *Func, p Value, op string) (*Value, error) {
+	switch ref := p.Ref.(type) {
+	case *Value:
+		return ref, nil
+	case *elemRef:
+		if p.I < 0 || p.I >= int64(len(ref.Elems)) {
+			return nil, fmt.Errorf("vm: %s: %s: index %d out of bounds [0,%d)", fn.Name, op, p.I, len(ref.Elems))
+		}
+		return &ref.Elems[p.I], nil
 	}
-	return nil
-}
-
-func (p Ptr) load() Value {
-	if p.Cell != nil {
-		return *p.Cell
-	}
-	return p.Arr.Elems[p.Idx]
-}
-
-func (p Ptr) store(v Value) {
-	if p.Cell != nil {
-		*p.Cell = v
-		return
-	}
-	p.Arr.Elems[p.Idx] = v
+	return nil, fmt.Errorf("vm: %s: %s through non-pointer", fn.Name, op)
 }
 
 // Block is the metadata of one basic block within a function.
@@ -238,6 +243,13 @@ type VM struct {
 	// MaxSteps bounds execution (0 = no bound).
 	MaxSteps int64
 	Counters Counters
+
+	// regs is the register stack: each frame owns the window of its
+	// function's NumRegs registers starting at its base, and a callee's
+	// window starts where its caller's ends.
+	regs    []Value
+	frames  []frame
+	scratch []Value // jump and call arguments in flight
 }
 
 // New creates a VM for prog writing intrinsic output to out (io.Discard if
@@ -253,8 +265,7 @@ func New(prog *Program, out io.Writer) *VM {
 
 type frame struct {
 	fn       *Func
-	regs     []Value
-	pc       int
+	base     int   // first register of the frame's window
 	rets     []int // caller registers receiving the return values
 	retBlock int   // caller block to continue at (-1: top level)
 }
@@ -271,27 +282,31 @@ func (m *VM) Run(args ...Value) ([]Value, error) {
 // Call executes function fnIdx with args and returns its results.
 func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 	fn := m.prog.Funcs[fnIdx]
-	f := &frame{fn: fn, regs: make([]Value, fn.NumRegs), pc: 0, retBlock: -1}
 	if len(args) != len(fn.ParamRegs) {
 		return nil, fmt.Errorf("vm: %s expects %d args, got %d", fn.Name, len(fn.ParamRegs), len(args))
 	}
-	for i, r := range fn.ParamRegs {
-		f.regs[r] = args[i]
+	if size := 4*fn.NumRegs + 16; len(m.regs) < size {
+		m.regs = make([]Value, size)
+		m.frames = make([]frame, 0, 16)
+		m.scratch = make([]Value, 0, 16)
 	}
-	stack := []*frame{f}
-	var jmpBuf []Value
+	m.frames = append(m.frames[:0], frame{fn: fn, retBlock: -1})
+	fr := &m.frames[0]
+	r := m.window(0, fn.NumRegs)
+	for i, reg := range fn.ParamRegs {
+		r[reg] = args[i]
+	}
+	pc := 0
 
 	for {
 		if m.MaxSteps > 0 && m.Counters.Instructions >= m.MaxSteps {
 			return nil, ErrStepLimit
 		}
-		fr := stack[len(stack)-1]
-		if fr.pc >= len(fr.fn.Code) {
-			return nil, fmt.Errorf("vm: %s: fell off code end", fr.fn.Name)
+		if pc >= len(fn.Code) {
+			return nil, fmt.Errorf("vm: %s: fell off code end", fn.Name)
 		}
-		in := &fr.fn.Code[fr.pc]
+		in := &fn.Code[pc]
 		m.Counters.Instructions++
-		r := fr.regs
 
 		switch in.Op {
 		case OpNop:
@@ -310,7 +325,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			r[in.A] = Value{I: r[in.B].I * r[in.C].I}
 		case OpDivI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: division by zero", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: division by zero", fn.Name)
 			}
 			if r[in.B].I == math.MinInt64 && r[in.C].I == -1 {
 				// Two's-complement wrap, matching the constant folder; the
@@ -321,7 +336,7 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			}
 		case OpRemI:
 			if r[in.C].I == 0 {
-				return nil, fmt.Errorf("vm: %s: remainder by zero", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: remainder by zero", fn.Name)
 			}
 			if r[in.C].I == -1 {
 				r[in.A] = Value{I: 0}
@@ -396,74 +411,78 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			r[in.A] = Value{F: v}
 
 		case OpJmp:
-			m.jump(fr, int(in.Imm), in.Args, &jmpBuf)
+			b := &fn.Blocks[in.Imm]
+			args := m.gather(r, in.Args)
+			for i, p := range b.ParamRegs {
+				r[p] = args[i]
+			}
+			pc = b.Start
 			continue
 
 		case OpBr:
 			m.Counters.Branches++
 			if r[in.A].I != 0 {
-				fr.pc = fr.fn.Blocks[in.B].Start
+				pc = fn.Blocks[in.B].Start
 			} else {
-				fr.pc = fr.fn.Blocks[in.C].Start
+				pc = fn.Blocks[in.C].Start
 			}
 			continue
 
-		case OpCall, OpTailCall:
-			callee := m.prog.Funcs[in.Imm]
-			nf := m.newFrame(callee, fr, in, nil)
-			if in.Op == OpTailCall {
-				m.Counters.TailCalls++
-				nf.rets, nf.retBlock = fr.rets, fr.retBlock
-				stack[len(stack)-1] = nf
-			} else {
-				m.Counters.DirectCalls++
-				fr.pc++ // resume after the call once Rets are written
-				stack = append(stack, nf)
-			}
-			m.noteDepth(len(stack))
-			continue
-
-		case OpCallClosure, OpTailCallClosure:
-			clo, ok := r[in.B].Ref.(*Closure)
-			if !ok {
-				return nil, fmt.Errorf("vm: %s: call through non-closure", fr.fn.Name)
-			}
-			callee := m.prog.Funcs[clo.Fn]
-			nf := m.newFrame(callee, fr, in, clo.Env)
-			if in.Op == OpTailCallClosure {
-				m.Counters.TailCalls++
+		case OpCall, OpTailCall, OpCallClosure, OpTailCallClosure:
+			callee := int(in.Imm)
+			args := m.gather(r, in.Args)
+			if in.Op == OpCallClosure || in.Op == OpTailCallClosure {
+				clo, ok := r[in.B].Ref.(*Closure)
+				if !ok {
+					return nil, fmt.Errorf("vm: %s: call through non-closure", fn.Name)
+				}
+				callee = clo.Fn
+				args = append(args, clo.Env...)
+				m.scratch = args
 				m.Counters.IndirectCalls++
-				nf.rets, nf.retBlock = fr.rets, fr.retBlock
-				stack[len(stack)-1] = nf
-			} else {
-				m.Counters.IndirectCalls++
-				fr.pc++
-				stack = append(stack, nf)
 			}
-			m.noteDepth(len(stack))
+			base := fr.base
+			if in.Op == OpTailCall || in.Op == OpTailCallClosure {
+				m.Counters.TailCalls++
+			} else {
+				if in.Op == OpCall {
+					m.Counters.DirectCalls++
+				}
+				base += fn.NumRegs
+				m.frames = append(m.frames, frame{base: base, rets: in.Rets, retBlock: in.C})
+				fr = &m.frames[len(m.frames)-1]
+			}
+			fn = m.prog.Funcs[callee]
+			fr.fn = fn
+			r = m.window(base, fn.NumRegs)
+			for i, v := range args {
+				r[fn.ParamRegs[i]] = v
+			}
+			pc = 0
+			if d := int64(len(m.frames)); d > m.Counters.MaxStackDepth {
+				m.Counters.MaxStackDepth = d
+			}
 			continue
 
 		case OpRet:
-			vals := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = r[a]
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) == 0 {
-				return vals, nil
-			}
-			caller := stack[len(stack)-1]
 			if fr.retBlock < 0 {
-				return vals, nil
+				return results(r, in.Args), nil
 			}
-			if len(vals) != len(fr.rets) {
+			if len(in.Args) != len(fr.rets) {
 				return nil, fmt.Errorf("vm: %s returned %d values, caller expects %d",
-					fr.fn.Name, len(vals), len(fr.rets))
+					fn.Name, len(in.Args), len(fr.rets))
 			}
-			for i, reg := range fr.rets {
-				caller.regs[reg] = vals[i]
+			// The caller's window lies below the callee's, so the results
+			// move directly.
+			rets, retBlock := fr.rets, fr.retBlock
+			m.frames = m.frames[:len(m.frames)-1]
+			fr = &m.frames[len(m.frames)-1]
+			fn = fr.fn
+			cr := m.regs[fr.base : fr.base+fn.NumRegs]
+			for i, reg := range rets {
+				cr[reg] = r[in.Args[i]]
 			}
-			caller.pc = caller.fn.Blocks[fr.retBlock].Start
+			r, pc = cr, fn.Blocks[retBlock].Start
 			continue
 
 		case OpClosureNew:
@@ -478,64 +497,50 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpArrayNew:
 			n := r[in.B].I
 			if n < 0 {
-				return nil, fmt.Errorf("vm: %s: negative array size %d", fr.fn.Name, n)
+				return nil, fmt.Errorf("vm: %s: negative array size %d", fn.Name, n)
 			}
 			m.Counters.ArrayAllocs++
 			m.Counters.HeapWords += n
 			r[in.A] = Value{Ref: &Array{Elems: make([]Value, n)}}
 
 		case OpArrayLen:
-			arr, ok := r[in.B].Ref.(*Array)
+			arr, ok := arrayOf(r[in.B])
 			if !ok {
-				if p, pok := r[in.B].Ref.(Ptr); pok && p.Arr != nil {
-					arr = p.Arr
-				} else {
-					return nil, fmt.Errorf("vm: %s: len of non-array", fr.fn.Name)
-				}
+				return nil, fmt.Errorf("vm: %s: len of non-array", fn.Name)
 			}
 			r[in.A] = Value{I: int64(len(arr.Elems))}
 
 		case OpLea:
 			// Address computation is speculatable (optimizers may hoist it
 			// above the guarding branch); bounds are checked at the access.
-			arr, ok := r[in.B].Ref.(*Array)
+			arr, ok := arrayOf(r[in.B])
 			if !ok {
-				if p, ok := r[in.B].Ref.(Ptr); ok && p.Arr != nil {
-					arr = p.Arr
-				} else {
-					return nil, fmt.Errorf("vm: %s: lea into non-array", fr.fn.Name)
-				}
+				return nil, fmt.Errorf("vm: %s: lea into non-array", fn.Name)
 			}
-			r[in.A] = Value{Ref: Ptr{Arr: arr, Idx: int(r[in.C].I)}}
+			r[in.A] = Value{I: r[in.C].I, Ref: (*elemRef)(arr)}
 
 		case OpSlotNew:
 			m.Counters.HeapWords++
-			r[in.A] = Value{Ref: Ptr{Cell: new(Value)}}
+			r[in.A] = Value{Ref: new(Value)}
 
 		case OpGlobalPtr:
-			r[in.A] = Value{Ref: Ptr{Cell: &m.globals[in.Imm]}}
+			r[in.A] = Value{Ref: &m.globals[in.Imm]}
 
 		case OpPtrLoad:
-			p, ok := r[in.B].Ref.(Ptr)
-			if !ok {
-				return nil, fmt.Errorf("vm: %s: load through non-pointer", fr.fn.Name)
-			}
-			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: load: %w", fr.fn.Name, err)
+			c, err := cell(fn, r[in.B], "load")
+			if err != nil {
+				return nil, err
 			}
 			m.Counters.Loads++
-			r[in.A] = p.load()
+			r[in.A] = *c
 
 		case OpPtrStore:
-			p, ok := r[in.A].Ref.(Ptr)
-			if !ok {
-				return nil, fmt.Errorf("vm: %s: store through non-pointer", fr.fn.Name)
-			}
-			if err := p.check(); err != nil {
-				return nil, fmt.Errorf("vm: %s: store: %w", fr.fn.Name, err)
+			c, err := cell(fn, r[in.A], "store")
+			if err != nil {
+				return nil, err
 			}
 			m.Counters.Stores++
-			p.store(r[in.B])
+			*c = r[in.B]
 
 		case OpTupleNew:
 			vals := make([]Value, len(in.Args))
@@ -549,14 +554,14 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 		case OpTupleGet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.get on non-tuple", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: tuple.get on non-tuple", fn.Name)
 			}
 			r[in.A] = tup[in.Imm]
 
 		case OpTupleSet:
 			tup, ok := r[in.B].Ref.([]Value)
 			if !ok {
-				return nil, fmt.Errorf("vm: %s: tuple.set on non-tuple", fr.fn.Name)
+				return nil, fmt.Errorf("vm: %s: tuple.set on non-tuple", fn.Name)
 			}
 			nv := make([]Value, len(tup))
 			copy(nv, tup)
@@ -572,58 +577,51 @@ func (m *VM) Call(fnIdx int, args ...Value) ([]Value, error) {
 			fmt.Fprintf(m.out, "%c", rune(r[in.A].I))
 
 		case OpHalt:
-			vals := make([]Value, len(in.Args))
-			for i, a := range in.Args {
-				vals[i] = r[a]
-			}
-			return vals, nil
+			return results(r, in.Args), nil
 
 		default:
-			return nil, fmt.Errorf("vm: %s: bad opcode %v", fr.fn.Name, in.Op)
+			return nil, fmt.Errorf("vm: %s: bad opcode %v", fn.Name, in.Op)
 		}
-		fr.pc++
+		pc++
 	}
 }
 
-// jump transfers control within the current frame, performing a parallel
-// copy of Args into the target block's param registers.
-func (m *VM) jump(fr *frame, block int, args []int, buf *[]Value) {
-	b := &fr.fn.Blocks[block]
-	tmp := *buf
-	tmp = tmp[:0]
-	for _, a := range args {
-		tmp = append(tmp, fr.regs[a])
+// window returns the zeroed register window of n registers at base,
+// doubling the register stack when it is too short. No pointer into the
+// stack outlives a call, so moving it is safe.
+func (m *VM) window(base, n int) []Value {
+	if base+n > len(m.regs) {
+		size := 2 * len(m.regs)
+		for size < base+n {
+			size *= 2
+		}
+		regs := make([]Value, size)
+		copy(regs, m.regs[:base])
+		m.regs = regs
 	}
-	*buf = tmp
-	for i, p := range b.ParamRegs {
-		fr.regs[p] = tmp[i]
-	}
-	fr.pc = b.Start
+	w := m.regs[base : base+n : base+n]
+	clear(w)
+	return w
 }
 
-func (m *VM) newFrame(callee *Func, caller *frame, in *Instr, env []Value) *frame {
-	nf := &frame{
-		fn:       callee,
-		regs:     make([]Value, callee.NumRegs),
-		rets:     in.Rets,
-		retBlock: in.C,
+// gather copies the registers regs of window r into the scratch slice, so
+// a jump's parallel copy or a tail call's argument move can overwrite r.
+func (m *VM) gather(r []Value, regs []int) []Value {
+	s := m.scratch[:0]
+	for _, a := range regs {
+		s = append(s, r[a])
 	}
-	n := 0
-	for _, a := range in.Args {
-		nf.regs[callee.ParamRegs[n]] = caller.regs[a]
-		n++
-	}
-	for _, v := range env {
-		nf.regs[callee.ParamRegs[n]] = v
-		n++
-	}
-	return nf
+	m.scratch = s
+	return s
 }
 
-func (m *VM) noteDepth(d int) {
-	if int64(d) > m.Counters.MaxStackDepth {
-		m.Counters.MaxStackDepth = int64(d)
+// results copies the registers regs of window r into a fresh slice.
+func results(r []Value, regs []int) []Value {
+	vals := make([]Value, len(regs))
+	for i, a := range regs {
+		vals[i] = r[a]
 	}
+	return vals
 }
 
 func boolVal(b bool) Value {

@@ -64,7 +64,11 @@ type Instance struct {
 	// when it runs out. NewInstance seeds an effectively unlimited budget.
 	Fuel int64
 
+	// Per-invocation state: the value stack, plus the locals and control
+	// entries of every active frame, each a slice of one shared stack.
 	stack  []uint64
+	locals []uint64
+	ctrl   []rtCtrl
 	frames int
 }
 
@@ -74,7 +78,8 @@ const maxFrames = 20000
 // "module.name"), and applies global, data, and element initialization.
 // The module must have been validated.
 func NewInstance(m *Module, hosts map[string]HostFunc) (*Instance, error) {
-	in := &Instance{m: m, Fuel: 1 << 62}
+	in := &Instance{m: m, Fuel: 1 << 62,
+		stack: make([]uint64, 0, 64), locals: make([]uint64, 0, 64), ctrl: make([]rtCtrl, 0, 16)}
 	for i := range m.Imports {
 		im := &m.Imports[i]
 		h, ok := hosts[im.Module+"."+im.Name]
@@ -257,12 +262,14 @@ func predecode(code []byte) ([]instr, error) {
 	return out, nil
 }
 
+// frame is one active call. It lives on the Go stack; its locals and
+// control entries live in the instance's shared stacks from the bases on.
 type frame struct {
-	fi     int // index into bodies
-	locals []uint64
-	pc     int
-	base   int
-	ctrl   []rtCtrl
+	fi    int // function index
+	pc    int
+	base  int // value-stack height at entry, arguments popped
+	lbase int // first local in in.locals
+	cbase int // first control entry in in.ctrl
 }
 
 // Invoke calls an exported function by name.
@@ -284,7 +291,9 @@ func (in *Instance) Invoke(name string, args ...uint64) ([]uint64, error) {
 	if len(args) != len(sig.Params) {
 		return nil, fmt.Errorf("wasm: %q takes %d arguments, got %d", name, len(sig.Params), len(args))
 	}
+	// A trap leaves frames behind; drop them before the next run.
 	in.stack = append(in.stack[:0], args...)
+	in.locals, in.ctrl, in.frames = in.locals[:0], in.ctrl[:0], 0
 	if err := in.call(fi); err != nil {
 		return nil, err
 	}
@@ -306,7 +315,7 @@ func (in *Instance) call(fi int) error {
 	if err != nil {
 		return err
 	}
-	return in.run(f)
+	return in.run(&f)
 }
 
 func (in *Instance) callHost(fi int) error {
@@ -325,28 +334,36 @@ func (in *Instance) callHost(fi int) error {
 	return nil
 }
 
-func (in *Instance) pushFrame(fi int) (*frame, error) {
+// pushFrame moves the callee's arguments from the value stack into fresh
+// locals, followed by its zeroed declared locals.
+func (in *Instance) pushFrame(fi int) (frame, error) {
 	if in.frames >= maxFrames {
-		return nil, trapf("call stack exhausted")
+		return frame{}, trapf("call stack exhausted")
 	}
 	in.frames++
 	body := &in.bodies[fi-len(in.hosts)]
 	sig := in.m.Types[body.typeIdx]
 	n := len(sig.Params)
 	if len(in.stack) < n {
-		return nil, trapf("call underflow")
+		return frame{}, trapf("call underflow")
 	}
-	locals := make([]uint64, n+body.nLocals)
-	copy(locals, in.stack[len(in.stack)-n:])
-	in.stack = in.stack[:len(in.stack)-n]
-	return &frame{fi: fi, locals: locals, base: len(in.stack)}, nil
+	f := frame{fi: fi, base: len(in.stack) - n, lbase: len(in.locals), cbase: len(in.ctrl)}
+	in.locals = append(in.locals, in.stack[f.base:]...)
+	for range body.nLocals {
+		in.locals = append(in.locals, 0)
+	}
+	in.stack = in.stack[:f.base]
+	return f, nil
 }
 
+// popFrame leaves f's arity results where its arguments were and drops
+// its locals and control entries.
 func (in *Instance) popFrame(f *frame, arity int) {
 	in.frames--
-	top := in.stack[len(in.stack)-arity:]
-	res := append([]uint64(nil), top...)
-	in.stack = append(in.stack[:f.base], res...)
+	copy(in.stack[f.base:], in.stack[len(in.stack)-arity:])
+	in.stack = in.stack[:f.base+arity]
+	in.locals = in.locals[:f.lbase]
+	in.ctrl = in.ctrl[:f.cbase]
 }
 
 func (in *Instance) push(v uint64) { in.stack = append(in.stack, v) }
@@ -359,17 +376,18 @@ func (in *Instance) pop() uint64 {
 
 // branch transfers control to label depth d within frame f.
 func (in *Instance) branch(f *frame, d int) {
-	e := f.ctrl[len(f.ctrl)-1-d]
+	e := in.ctrl[len(in.ctrl)-1-d]
+	h := f.base + int(e.height)
 	if e.isLoop {
-		in.stack = in.stack[:f.base+int(e.height)]
-		f.ctrl = f.ctrl[:len(f.ctrl)-d]
+		in.stack = in.stack[:h]
+		in.ctrl = in.ctrl[:len(in.ctrl)-d]
 		f.pc = int(e.start)
 		return
 	}
 	ar := int(e.arity)
-	vals := append([]uint64(nil), in.stack[len(in.stack)-ar:]...)
-	in.stack = append(in.stack[:f.base+int(e.height)], vals...)
-	f.ctrl = f.ctrl[:len(f.ctrl)-1-d]
+	copy(in.stack[h:], in.stack[len(in.stack)-ar:])
+	in.stack = in.stack[:h+ar]
+	in.ctrl = in.ctrl[:len(in.ctrl)-1-d]
 	f.pc = int(e.cont)
 }
 
@@ -378,6 +396,7 @@ func (in *Instance) run(f *frame) error {
 	body := &in.bodies[f.fi-len(in.hosts)]
 	code := body.code
 	resultArity := len(in.m.Types[body.typeIdx].Results)
+	locals := in.locals[f.lbase:]
 	for {
 		if f.pc >= len(code) {
 			in.popFrame(f, resultArity)
@@ -393,55 +412,36 @@ func (in *Instance) run(f *frame) error {
 		case OpUnreachable:
 			return trapf("unreachable executed")
 		case OpNop:
-		case OpBlock:
-			f.ctrl = append(f.ctrl, rtCtrl{
-				cont: ins.x + 1, arity: int8(ins.imm),
-				height: int32(len(in.stack) - f.base),
-			})
-		case OpLoop:
-			f.ctrl = append(f.ctrl, rtCtrl{
-				isLoop: true, start: int32(f.pc), cont: ins.x + 1,
+		case OpBlock, OpLoop, OpIf:
+			if ins.op == OpIf && uint32(in.pop()) == 0 {
+				if ins.y < 0 { // no else arm: skip past the end
+					f.pc = int(ins.x) + 1
+					break
+				}
+				f.pc = int(ins.y) + 1
+			}
+			in.ctrl = append(in.ctrl, rtCtrl{
+				isLoop: ins.op == OpLoop, start: int32(f.pc), cont: ins.x + 1,
 				arity: int8(ins.imm), height: int32(len(in.stack) - f.base),
 			})
-		case OpIf:
-			cond := in.pop()
-			if uint32(cond) != 0 {
-				f.ctrl = append(f.ctrl, rtCtrl{
-					cont: ins.x + 1, arity: int8(ins.imm),
-					height: int32(len(in.stack) - f.base),
-				})
-			} else if ins.y >= 0 {
-				f.ctrl = append(f.ctrl, rtCtrl{
-					cont: ins.x + 1, arity: int8(ins.imm),
-					height: int32(len(in.stack) - f.base),
-				})
-				f.pc = int(ins.y) + 1
-			} else {
-				f.pc = int(ins.x) + 1
-			}
 		case OpElse:
 			// True arm finished: jump to the matching end, which pops.
 			f.pc = int(ins.x)
 		case OpEnd:
-			if len(f.ctrl) == 0 {
+			if len(in.ctrl) == f.cbase {
 				in.popFrame(f, resultArity)
 				return nil
 			}
-			f.ctrl = f.ctrl[:len(f.ctrl)-1]
-		case OpBr:
-			if int(ins.imm) >= len(f.ctrl) {
+			in.ctrl = in.ctrl[:len(in.ctrl)-1]
+		case OpBr, OpBrIf:
+			if ins.op == OpBrIf && uint32(in.pop()) == 0 {
+				break
+			}
+			if int(ins.imm) >= len(in.ctrl)-f.cbase {
 				in.popFrame(f, resultArity)
 				return nil
 			}
 			in.branch(f, int(ins.imm))
-		case OpBrIf:
-			if uint32(in.pop()) != 0 {
-				if int(ins.imm) >= len(f.ctrl) {
-					in.popFrame(f, resultArity)
-					return nil
-				}
-				in.branch(f, int(ins.imm))
-			}
 		case OpReturn:
 			in.popFrame(f, resultArity)
 			return nil
@@ -449,6 +449,7 @@ func (in *Instance) run(f *frame) error {
 			if err := in.call(int(ins.imm)); err != nil {
 				return err
 			}
+			locals = in.locals[f.lbase:] // the callee may have moved them
 		case OpCallIndirect:
 			idx := uint32(in.pop())
 			if int(idx) >= len(in.table) {
@@ -469,6 +470,7 @@ func (in *Instance) run(f *frame) error {
 			if err := in.call(int(target)); err != nil {
 				return err
 			}
+			locals = in.locals[f.lbase:]
 		case OpDrop:
 			in.pop()
 		case OpSelect:
@@ -481,11 +483,11 @@ func (in *Instance) run(f *frame) error {
 				in.push(v2)
 			}
 		case OpLocalGet:
-			in.push(f.locals[ins.imm])
+			in.push(locals[ins.imm])
 		case OpLocalSet:
-			f.locals[ins.imm] = in.pop()
+			locals[ins.imm] = in.pop()
 		case OpLocalTee:
-			f.locals[ins.imm] = in.stack[len(in.stack)-1]
+			locals[ins.imm] = in.stack[len(in.stack)-1]
 		case OpGlobalGet:
 			in.push(in.globals[ins.imm])
 		case OpGlobalSet:
@@ -496,13 +498,7 @@ func (in *Instance) run(f *frame) error {
 				return err
 			}
 			in.push(uint64(binary.LittleEndian.Uint32(in.mem[a:])))
-		case OpI64Load:
-			a, err := in.effAddr(ins, 8)
-			if err != nil {
-				return err
-			}
-			in.push(binary.LittleEndian.Uint64(in.mem[a:]))
-		case OpF64Load:
+		case OpI64Load, OpF64Load:
 			a, err := in.effAddr(ins, 8)
 			if err != nil {
 				return err
