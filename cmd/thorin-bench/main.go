@@ -21,7 +21,7 @@
 //	thorin-bench -loadtest -o BENCH_pr6.json      # thorind cold vs warm-cache latency
 //	thorin-bench -modload -o BENCH_pr7.json       # separate compilation: single-leaf edits on a warm daemon
 //	thorin-bench -overload -o BENCH_pr8.json      # shed/retry storm: clients > compile slots
-//	thorin-bench -memory -o BENCH_pr9.json        # effect-region memory pipeline: before/after wins
+//	thorin-bench -memory -o BENCH_pr9.json        # effect-region memory pipeline: wins over the carried before arm
 //	thorin-bench -memory -diff BENCH_pr9.json     # fail on a >10% VM-instruction regression
 //	thorin-bench -backends -o BENCH_pr10.json     # vm vs wasm backend: emission time, payload size, dynamic instrs
 package main
@@ -49,13 +49,13 @@ func main() {
 		modload  = flag.Bool("modload", false, "load-test thorind's separate-compilation path (shared-import module set, single-leaf edits on a warm cache) and emit JSON")
 		leaves   = flag.Int("leaves", 16, "with -modload: leaf modules importing the shared util module")
 		edits    = flag.Int("edits", 8, "with -modload: single-leaf edit requests after the cold build")
-		memory   = flag.Bool("memory", false, "measure the effect-region memory pipeline (promoted slots, hoisted loads, split threads, VM instructions) before/after and emit JSON")
+		memory   = flag.Bool("memory", false, "measure the effect-region memory pipeline (promoted slots, hoisted loads, VM instructions) against the before arm of the -o or -diff report and emit JSON")
 		backends = flag.Bool("backends", false, "compare the vm and wasm backends over the suite (emission ns/op, payload bytes, dynamic instructions; checksum parity enforced) and emit JSON")
 		overload = flag.Bool("overload", false, "storm thorind with more retrying clients than compile slots, record shed rate and p50/p99 latency, and emit JSON")
 		stormers = flag.Int("stormers", 8, "with -overload: concurrent retrying clients")
 		perEach  = flag.Int("per-client", 3, "with -overload: distinct cold compiles per client")
 		diffFile = flag.String("diff", "", "with -incremental/-memory: compare against this committed report and fail on a >10% regression instead of writing")
-		outFile  = flag.String("o", "", "with -alloc/-incremental/-memory: write the JSON report to this file (default stdout); for -alloc an existing report's baseline (or, failing that, its current numbers) is carried forward as the baseline")
+		outFile  = flag.String("o", "", "with -alloc/-incremental/-memory: write the JSON report to this file (default stdout); for -alloc an existing report's baseline (or, failing that, its current numbers) is carried forward as the baseline, for -memory the existing report's before arm")
 	)
 	flag.Parse()
 
@@ -296,10 +296,6 @@ func runOverload(outFile string, clients, perClient int, fast bool) error {
 	return nil
 }
 
-// runMemory measures the effect-region memory pipeline before/after
-// comparison (BENCH_pr9.json when committed). With diffFile set it acts as
-// a regression gate: the fresh measurement must stay within 10% of the
-// committed report's VM instruction count.
 // runBackends measures the vm-vs-wasm backend comparison (checksum parity
 // is enforced inside the measurement) and writes BENCH_pr10.json.
 func runBackends(outFile string, fast bool) error {
@@ -319,22 +315,35 @@ func runBackends(outFile string, fast bool) error {
 	return bench.WriteBackendsJSON(out, rep)
 }
 
+// runMemory measures the effect-region memory pipeline (BENCH_pr9.json when
+// committed). The before arm cannot be rebuilt, since the region consumers
+// are always on, so it is carried from the committed report: diffFile when
+// set, else the existing outFile. With diffFile set it acts as a
+// regression gate: the fresh measurement must stay within 10% of the
+// committed report's VM instruction count.
 func runMemory(outFile, diffFile string, fast bool) error {
-	rep, err := bench.MeasureMemory(fast)
+	baseFile := diffFile
+	if baseFile == "" {
+		baseFile = outFile
+	}
+	if baseFile == "" {
+		return fmt.Errorf("-memory needs a committed report to carry the before arm from: pass -o or -diff with an existing BENCH_pr9.json")
+	}
+	f, err := os.Open(baseFile)
+	if err != nil {
+		return err
+	}
+	old, err := bench.ReadMemoryReport(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	rep, err := bench.MeasureMemory(fast, old)
 	if err != nil {
 		return err
 	}
 
 	if diffFile != "" {
-		f, err := os.Open(diffFile)
-		if err != nil {
-			return err
-		}
-		old, rerr := bench.ReadMemoryReport(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
 		if err := bench.DiffMemory(old, rep, 10); err != nil {
 			return err
 		}
@@ -356,8 +365,8 @@ func runMemory(outFile, diffFile string, fast bool) error {
 		return err
 	}
 	if outFile != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s (+%d promoted slots, %d hoisted loads, %d effect threads, %.1f%% fewer VM instructions)\n",
-			outFile, rep.PromotedSlotDelta, rep.After.HoistedLoads, rep.After.EffectThreads, rep.InstrSavedPct)
+		fmt.Fprintf(os.Stderr, "wrote %s (+%d promoted slots, %d hoisted loads, %.1f%% fewer VM instructions)\n",
+			outFile, rep.PromotedSlotDelta, rep.After.HoistedLoads, rep.InstrSavedPct)
 	}
 	return nil
 }

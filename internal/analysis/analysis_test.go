@@ -190,14 +190,6 @@ func TestDomTreeDiamond(t *testing.T) {
 	if dom.LCA(nt, ne) != nf {
 		t.Error("LCA(then, else) must be entry")
 	}
-
-	pdom := NewPostDomTree(g)
-	if pdom.Root() != g.Exit {
-		t.Error("post-dom root must be virtual exit")
-	}
-	if pdom.IDom(nt) != nj || pdom.IDom(ne) != nj {
-		t.Error("join must post-dominate both branches")
-	}
 }
 
 func TestLoopTree(t *testing.T) {

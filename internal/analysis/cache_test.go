@@ -39,24 +39,21 @@ func TestCacheScopeMemoization(t *testing.T) {
 	}
 }
 
-func TestCacheDerivedAnalyses(t *testing.T) {
-	_, main := cacheWorld()
+func TestCacheInvalidateOne(t *testing.T) {
+	w, main := cacheWorld()
+	other := w.Continuation(w.FnType(w.MemType(), w.FnType(w.MemType())), "other")
+	other.Jump(other.Param(1), other.Param(0))
 	c := NewCache()
-	g1 := c.CFGOf(main)
-	if g2 := c.CFGOf(main); g2 != g1 {
-		t.Error("CFGOf must memoize")
-	}
-	d1 := c.DomTreeOf(main)
-	if d2 := c.DomTreeOf(main); d2 != d1 {
-		t.Error("DomTreeOf must memoize")
-	}
-	p1 := c.PostDomTreeOf(main)
-	if p2 := c.PostDomTreeOf(main); p2 != p1 {
-		t.Error("PostDomTreeOf must memoize")
-	}
+	s1, o1 := c.ScopeOf(main), c.ScopeOf(other)
 	c.Invalidate(main)
-	if c.CFGOf(main) == g1 {
-		t.Error("CFGOf after Invalidate must recompute")
+	if c.ScopeOf(main) == s1 {
+		t.Error("ScopeOf after Invalidate must recompute")
+	}
+	if c.ScopeOf(other) != o1 {
+		t.Error("Invalidate must keep the other entries")
+	}
+	if st := c.Stats(); st.Invalidations != 1 || st.Misses != 3 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 invalidation / 3 misses / 1 hit", st)
 	}
 }
 
@@ -84,15 +81,20 @@ func TestCacheGenerationValidation(t *testing.T) {
 	if !s2.Contains(f) {
 		t.Error("recomputed scope must contain the new callee")
 	}
-	if st := c.Stats(); st.Stale == 0 {
-		t.Errorf("stats = %+v, want a stale eviction recorded", st)
+	if st := c.Stats(); st.Stale != 1 {
+		t.Errorf("stats = %+v, want one stale eviction recorded", st)
 	}
 
-	// Derived analyses are dropped together with the scope.
-	g := c.CFGOf(main)
+	// The recomputed scope is served until the next touch of a member.
+	if c.ScopeOf(main) != s2 {
+		t.Error("recomputed scope must be memoized")
+	}
 	main.Jump(main.Param(1), main.Param(0))
-	if c.CFGOf(main) == g {
-		t.Error("CFG derived from a stale scope must be recomputed")
+	if c.ScopeOf(main) == s2 {
+		t.Error("second mutation inside the scope must recompute again")
+	}
+	if st := c.Stats(); st.Stale != 2 {
+		t.Errorf("stats = %+v, want two stale evictions recorded", st)
 	}
 }
 
@@ -126,9 +128,8 @@ func TestScopeBuildCount(t *testing.T) {
 func TestNilCacheComputes(t *testing.T) {
 	_, main := cacheWorld()
 	var c *Cache
-	if c.ScopeOf(main) == nil || c.CFGOf(main) == nil ||
-		c.DomTreeOf(main) == nil || c.PostDomTreeOf(main) == nil {
-		t.Fatal("nil cache must still compute analyses")
+	if c.ScopeOf(main) == nil {
+		t.Fatal("nil cache must still compute scopes")
 	}
 	c.Invalidate(main)
 	c.InvalidateAll() // must not panic

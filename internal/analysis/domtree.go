@@ -1,11 +1,8 @@
 package analysis
 
 // DomTree is a dominator tree over a CFG, computed with the iterative
-// algorithm of Cooper, Harvey and Kennedy. With Post=true it is the
-// post-dominator tree (rooted at the virtual exit).
+// algorithm of Cooper, Harvey and Kennedy.
 type DomTree struct {
-	Post  bool
-	g     *CFG
 	root  *Node
 	idom  map[*Node]*Node
 	depth map[*Node]int
@@ -13,52 +10,15 @@ type DomTree struct {
 }
 
 // NewDomTree computes the dominator tree of g.
-func NewDomTree(g *CFG) *DomTree { return newDomTree(g, false) }
-
-// NewPostDomTree computes the post-dominator tree of g.
-func NewPostDomTree(g *CFG) *DomTree { return newDomTree(g, true) }
-
-func newDomTree(g *CFG, post bool) *DomTree {
+func NewDomTree(g *CFG) *DomTree {
 	t := &DomTree{
-		Post:  post,
-		g:     g,
+		root:  g.Nodes[0],
 		idom:  make(map[*Node]*Node),
 		depth: make(map[*Node]int),
 		kids:  make(map[*Node][]*Node),
 	}
-
-	// Node order and edge direction depend on orientation.
-	var order []*Node // reverse postorder of the (possibly reversed) graph
-	preds := func(n *Node) []*Node { return n.Preds }
-	if post {
-		t.root = g.Exit
-		preds = func(n *Node) []*Node { return n.Succs }
-		// Reverse postorder on the reversed graph: postorder from exit over
-		// preds, reversed.
-		var po []*Node
-		seen := map[*Node]bool{}
-		var dfs func(n *Node)
-		dfs = func(n *Node) {
-			if seen[n] {
-				return
-			}
-			seen[n] = true
-			for _, p := range n.Preds {
-				dfs(p)
-			}
-			po = append(po, n)
-		}
-		dfs(g.Exit)
-		for i := len(po) - 1; i >= 0; i-- {
-			order = append(order, po[i])
-		}
-	} else {
-		t.root = g.Nodes[0]
-		order = append(order, g.Nodes...)
-	}
-
-	rpoIndex := make(map[*Node]int, len(order))
-	for i, n := range order {
+	rpoIndex := make(map[*Node]int, len(g.Nodes))
+	for i, n := range g.Nodes {
 		rpoIndex[n] = i
 	}
 
@@ -66,12 +26,12 @@ func newDomTree(g *CFG, post bool) *DomTree {
 	changed := true
 	for changed {
 		changed = false
-		for _, n := range order {
+		for _, n := range g.Nodes {
 			if n == t.root {
 				continue
 			}
 			var newIdom *Node
-			for _, p := range preds(n) {
+			for _, p := range n.Preds {
 				if _, ok := t.idom[p]; !ok {
 					continue
 				}
@@ -82,7 +42,7 @@ func newDomTree(g *CFG, post bool) *DomTree {
 				}
 			}
 			if newIdom == nil {
-				continue // unreachable in this orientation
+				continue // unreachable
 			}
 			if t.idom[n] != newIdom {
 				t.idom[n] = newIdom
@@ -120,7 +80,7 @@ func (t *DomTree) intersect(rpo map[*Node]int, a, b *Node) *Node {
 	return a
 }
 
-// Root returns the tree root (entry, or virtual exit for post-dominance).
+// Root returns the tree root, the CFG's entry.
 func (t *DomTree) Root() *Node { return t.root }
 
 // IDom returns the immediate dominator of n (the root dominates itself).

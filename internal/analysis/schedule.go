@@ -20,16 +20,11 @@ const (
 	// ScheduleSmart picks, on the dominator-tree path between early and late
 	// placement, the block with the smallest loop depth closest to the late
 	// position — hoisting out of loops without lengthening live ranges
-	// needlessly (the sea-of-nodes heuristic).
+	// needlessly (the sea-of-nodes heuristic). Loads from read-only,
+	// non-escaped alias regions are placed like pure values, so they hoist
+	// out of loops too.
 	ScheduleSmart
 )
-
-// HoistRegionLoads gates the region-pure load motion of ScheduleSmart:
-// loads from provably read-only, non-escaped alias regions are scheduled
-// like pure values (their mem operand ignored for placement), so the smart
-// walk can hoist them out of loops. The bit exists for before/after
-// measurement; production builds leave it on.
-var HoistRegionLoads = true
 
 // Block is one scheduled basic block: a CFG node plus its primops in
 // execution order.
@@ -129,7 +124,7 @@ func NewSchedule(s *Scope, mode Mode) *Schedule {
 		// the mem projection stays pinned at the original chain position so
 		// downstream effectful ops do not move.
 		hoistBound := map[*ir.PrimOp]*Node{}
-		if mode == ScheduleSmart && HoistRegionLoads {
+		if mode == ScheduleSmart {
 			regions := NewRegions(s)
 			for _, p := range primops {
 				if p.OpKind() != ir.OpLoad {

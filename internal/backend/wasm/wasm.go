@@ -22,7 +22,6 @@
 //     import with a code so the embedder can map them onto the same
 //     observable errors the VM reports. CastFI goes through the env.f2i
 //     host import to inherit the platform's exact float→int semantics.
-//   - fork/join effect threads erase, exactly as in the VM backend.
 package wasmbackend
 
 import (

@@ -3,13 +3,13 @@ package bench
 // Effect-region measurement for the alias-aware memory pipeline
 // (BENCH_pr9.json): one memory-heavy workload — disjoint arrays and a
 // clean accumulator interleaved in a loop, a read-only global read every
-// iteration, an escaped cell, and a dead store — is compiled twice. The
-// "before" arm turns the region machinery off (the chicken-bits
-// transform.PromoteNonBlockScopes and analysis.HoistRegionLoads) and runs
-// the canonical O2 spec; the "after" arm turns it on and adds the
-// effectsplit pass. The report records what the regions buy: promoted
-// slots, hoisted loads, split effect threads, dead stores removed, and
-// the deterministic VM instruction counts those translate into.
+// iteration, an escaped cell, and a dead store — is compiled under the
+// canonical O2 spec. The region analysis is always on, so only this
+// "after" arm is measured; the "before" arm (the same workload compiled
+// with the region consumers switched off, back when they could be) is
+// carried verbatim from the committed report. The report records what the
+// regions buy: promoted slots, hoisted loads, dead stores removed, and the
+// deterministic VM instruction counts those translate into.
 
 import (
 	"encoding/json"
@@ -24,11 +24,6 @@ import (
 	"thorin/internal/transform"
 )
 
-// memEffectSplitSpec is the canonical O2 pipeline with the effect-split
-// pass wired in before the final cleanup — the same opt-in spec string
-// the differential fuzzer's effectsplit arms use.
-const memEffectSplitSpec = "cleanup,pe,fix(cff,contify,mem2reg,inline-once),effectsplit,cleanup,closure"
-
 // memoryIters is the loop trip count of the workload; the VM instruction
 // counts scale with it, so reports are only comparable at equal scale
 // (pinned by the Fast flag, as in the incremental report).
@@ -42,7 +37,7 @@ func memoryIters(fast bool) int {
 // memorySource builds the workload. Every shape is there on purpose:
 //
 //   - a and b are disjoint array regions written every iteration —
-//     unpromotable, so they survive as the effect-split material;
+//     unpromotable, so their traffic stays on the mem chain;
 //   - acc's own load/store chain is clean, but the array traffic and the
 //     closure's effects interleave with it: only region-local promotion
 //     can lift it;
@@ -54,8 +49,7 @@ func memoryIters(fast bool) int {
 //     clone: multi-use (inline-once skips it), distinct return
 //     continuations (contify skips it), never a jump argument again. The
 //     capturing lambda keeps sweep's scope out of block form forever —
-//     the before arm skips every slot in it, and e pins a ⊤-region
-//     thread;
+//     without region-local promotion every slot in it is skipped;
 //   - x's first store is dead (overwritten before any read).
 //
 // Two structural details are load-bearing. sweep has two call sites with
@@ -63,8 +57,8 @@ func memoryIters(fast bool) int {
 // into main and re-anchor its slots on covered-block parameters (which
 // region-local promotion refuses). And e is declared before acc and the
 // arrays, so the lambda's operand closure (e's slot plus everything
-// sequenced before it on the mem chain) touches nothing the after arm
-// wants to promote.
+// sequenced before it on the mem chain) touches nothing region-local
+// promotion wants to lift.
 func memorySource(iters int) string {
 	return fmt.Sprintf(`static base = 7;
 
@@ -106,8 +100,6 @@ type MemoryArm struct {
 	PromotedSlots      int     `json:"promoted_slots"`
 	SkippedInterleaved int     `json:"m2r_skipped_interleaved"`
 	SkippedEscaped     int     `json:"m2r_skipped_escaped"`
-	EffectChains       int     `json:"effect_chains_split"`
-	EffectThreads      int     `json:"effect_threads"`
 	DeadStores         int     `json:"dead_stores_removed"`
 	HoistedLoads       int     `json:"hoisted_loads"`
 	VMInstructions     int64   `json:"vm_instructions"`
@@ -116,26 +108,17 @@ type MemoryArm struct {
 	Result             int64   `json:"result"`
 }
 
-// MemoryReport is the document shape of BENCH_pr9.json.
+// MemoryReport is the document shape of BENCH_pr9.json. Before is a
+// frozen MemoryArm kept as raw JSON, so carrying it into a regenerated
+// report reproduces it byte for byte.
 type MemoryReport struct {
-	Note              string    `json:"note"`
-	Fast              bool      `json:"fast"`
-	Iters             int       `json:"iters"`
-	Before            MemoryArm `json:"before"`
-	After             MemoryArm `json:"after"`
-	PromotedSlotDelta int       `json:"promoted_slot_delta"`
-	InstrSavedPct     float64   `json:"vm_instructions_saved_pct"`
-}
-
-// setRegionBits flips both chicken-bits and returns a restore func.
-func setRegionBits(on bool) func() {
-	prevPromote, prevHoist := transform.PromoteNonBlockScopes, analysis.HoistRegionLoads
-	transform.PromoteNonBlockScopes = on
-	analysis.HoistRegionLoads = on
-	return func() {
-		transform.PromoteNonBlockScopes = prevPromote
-		analysis.HoistRegionLoads = prevHoist
-	}
+	Note              string          `json:"note"`
+	Fast              bool            `json:"fast"`
+	Iters             int             `json:"iters"`
+	Before            json.RawMessage `json:"before"`
+	After             MemoryArm       `json:"after"`
+	PromotedSlotDelta int             `json:"promoted_slot_delta"`
+	InstrSavedPct     float64         `json:"vm_instructions_saved_pct"`
 }
 
 // countHoisted rebuilds the smart schedule of every top-level scope of an
@@ -156,12 +139,9 @@ func countHoisted(res *driver.Result) int {
 	return hoisted
 }
 
-// measureMemoryArm compiles src under one configuration, executes it, and
-// times the optimizer. The frontend is excluded from the timed loop.
-func measureMemoryArm(name, src, spec string, regionBits bool, arg int64) (MemoryArm, error) {
-	restore := setRegionBits(regionBits)
-	defer restore()
-
+// measureMemoryArm compiles src under spec, executes it, and times the
+// optimizer. The frontend is excluded from the timed loop.
+func measureMemoryArm(name, src, spec string, arg int64) (MemoryArm, error) {
 	arm := MemoryArm{Name: name, Spec: spec}
 	res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1})
 	if err != nil {
@@ -170,8 +150,6 @@ func measureMemoryArm(name, src, spec string, regionBits bool, arg int64) (Memor
 	arm.PromotedSlots = res.Stats.Mem2Reg.PromotedSlots
 	arm.SkippedInterleaved = res.Stats.Mem2Reg.SkippedInterleaved
 	arm.SkippedEscaped = res.Stats.Mem2Reg.SkippedEscaped
-	arm.EffectChains = res.Stats.EffectSplit.SplitChains
-	arm.EffectThreads = res.Stats.EffectSplit.Threads
 	arm.DeadStores = res.Stats.Cleanup.DeadStores
 	arm.HoistedLoads = countHoisted(res)
 
@@ -214,30 +192,33 @@ func measureMemoryArm(name, src, spec string, regionBits bool, arg int64) (Memor
 	return arm, nil
 }
 
-// MeasureMemory runs the before/after comparison and checks the claims the
-// report exists to make: region-local promotion lifts strictly more slots,
-// the scheduler hoists at least one loop-invariant load the before arm
-// leaves in the loop, the effect-split pass actually fires, and all of it
-// nets out to fewer VM instructions for the same result.
-func MeasureMemory(fast bool) (MemoryReport, error) {
+// MeasureMemory measures the after arm and compares it with the before
+// arm carried from base, a committed report at the same scale. It checks
+// the claims the report exists to make: region-local promotion lifts
+// strictly more slots, the scheduler hoists at least one loop-invariant
+// load, and all of it nets out to fewer VM instructions for the same
+// result.
+func MeasureMemory(fast bool, base MemoryReport) (MemoryReport, error) {
 	iters := memoryIters(fast)
-	src := memorySource(iters)
-	const arg = 3
-
 	rep := MemoryReport{
-		Note: "effect-aware memory pipeline: region-local slot promotion + effect-split threads + read-only load hoisting (after) vs linear mem chain (before); same workload, same result, fewer VM instructions",
+		Note: "effect-aware memory pipeline: region-local slot promotion + dead-store elimination + read-only load hoisting under the canonical O2 spec (after) vs the same spec with the region consumers off (before, carried verbatim); same workload, same result, fewer VM instructions",
 		Fast: fast, Iters: iters,
 	}
+	if base.Fast != fast || base.Iters != iters {
+		return rep, fmt.Errorf("bench: memory baseline not comparable: baseline fast=%v iters=%d, current fast=%v iters=%d",
+			base.Fast, base.Iters, fast, iters)
+	}
+	var before MemoryArm
+	if err := json.Unmarshal(base.Before, &before); err != nil {
+		return rep, fmt.Errorf("bench: bad memory baseline before arm: %w", err)
+	}
 
-	before, err := measureMemoryArm("before/linear-mem", src, transform.SpecFor(transform.OptAll()), false, arg)
+	const arg = 3
+	after, err := measureMemoryArm("after/effect-regions", memorySource(iters), transform.SpecFor(transform.OptAll()), arg)
 	if err != nil {
 		return rep, err
 	}
-	after, err := measureMemoryArm("after/effect-regions", src, memEffectSplitSpec, true, arg)
-	if err != nil {
-		return rep, err
-	}
-	rep.Before, rep.After = before, after
+	rep.Before, rep.After = base.Before, after
 	rep.PromotedSlotDelta = after.PromotedSlots - before.PromotedSlots
 	if before.VMInstructions > 0 {
 		rep.InstrSavedPct = float64(before.VMInstructions-after.VMInstructions) /
@@ -255,9 +236,6 @@ func MeasureMemory(fast bool) (MemoryReport, error) {
 	}
 	if after.HoistedLoads < 1 {
 		return rep, fmt.Errorf("bench: no region-pure load hoisted out of the loop")
-	}
-	if after.EffectChains < 1 {
-		return rep, fmt.Errorf("bench: effectsplit split no chains on the memory workload")
 	}
 	if after.VMInstructions >= before.VMInstructions {
 		return rep, fmt.Errorf("bench: no VM instruction win: before=%d after=%d",
@@ -284,8 +262,8 @@ func ReadMemoryReport(r io.Reader) (MemoryReport, error) {
 
 // DiffMemory gates a fresh measurement against the committed report. The
 // VM instruction count is deterministic, so it carries the regression
-// budget; the structural wins (promotion delta, hoisting, split chains)
-// are re-asserted by MeasureMemory itself before the diff ever runs.
+// budget; the structural wins (promotion delta, hoisting) are re-asserted
+// by MeasureMemory itself before the diff ever runs.
 func DiffMemory(old, cur MemoryReport, tolerancePct float64) error {
 	if old.Fast != cur.Fast || old.Iters != cur.Iters {
 		return fmt.Errorf("bench: memory reports not comparable: baseline fast=%v iters=%d, current fast=%v iters=%d",

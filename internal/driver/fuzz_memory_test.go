@@ -9,8 +9,8 @@ import (
 // TestFuzzMemory sweeps the memory-heavy generator mode through every
 // compiled arm: slots written in loops, aliased array cells, repeated
 // stores to the same cell, and lambda-captured mutables whose slots
-// escape — the corpus that exercises alias regions, the effect-split
-// rewiring, region-pure load hoisting and dead-store elimination. Every
+// escape — the corpus that exercises alias regions, region-local
+// promotion, region-pure load hoisting and dead-store elimination. Every
 // seed must agree with the reference interpreter.
 func TestFuzzMemory(t *testing.T) {
 	seeds := 250

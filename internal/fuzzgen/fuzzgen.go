@@ -80,8 +80,8 @@ func Program(seed int64) string {
 // MemoryProgram builds one random memory-heavy program: the statement mix
 // is biased towards mutable slots, array stores and loads inside loops,
 // repeated stores to the same cell, and lambda-captured mutables whose
-// slots escape — exactly the shapes the alias regions, effect splitting
-// and dead-store elimination must get right. Identical seeds produce
+// slots escape — exactly the shapes the alias regions, region-local
+// promotion and dead-store elimination must get right. Identical seeds produce
 // identical programs.
 func MemoryProgram(seed int64) string {
 	g := &gen{r: rand.New(rand.NewSource(seed)), memory: true}

@@ -120,6 +120,9 @@ func TestParseErrorsReported(t *testing.T) {
 		"main(x: i64) = { foo(x) }\n", // undefined callee... parsed as header? no: single line braces
 		"extern f(x: whatever) = <unset>\n",
 		"f(x: i64) = <unset>\n\nf(x: i64) = <unset>\n",
+		// memfork/memjoin are not primop kinds: one linear mem chain.
+		"extern f(m: mem, ret: fn(mem)) = {\n    fk = (mem, mem) memfork(m)\n    ret(m)\n}\n",
+		"extern f(m: mem, ret: fn(mem)) = {\n    j = mem memjoin(m, m)\n    ret(j)\n}\n",
 	}
 	for _, src := range bad {
 		if _, err := ParseWorld(src); err == nil {

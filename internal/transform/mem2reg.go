@@ -34,14 +34,6 @@ func (s *Mem2RegStats) add(o Mem2RegStats) {
 	s.SkippedUnpromotableType += o.SkippedUnpromotableType
 }
 
-// PromoteNonBlockScopes gates the region-local promotion path: slots in
-// scopes that are not in block form (a nested returning function keeps the
-// scope's CFG from covering every continuation) are still promoted when
-// their loads and stores live entirely in CFG-covered blocks and the
-// nested activations provably never touch them. The bit exists for
-// before/after measurement; production builds leave it on.
-var PromoteNonBlockScopes = true
-
 // Mem2Reg promotes non-escaping stack slots to values flowing through
 // continuation parameters in every promotable top-level scope. This is the
 // paper's demonstration that SSA construction is an ordinary IR
@@ -119,12 +111,6 @@ func m2rAnalyze(w *ir.World, ac *analysis.Cache, c *ir.Continuation) *m2rPlan {
 		plan.reasons.SkippedEscaped = countEscapedSlots(s)
 		return plan
 	}
-	if !PromoteNonBlockScopes {
-		plan := &m2rPlan{skipped: true}
-		plan.reasons.SkippedInterleaved = len(PromotableSlots(s))
-		plan.reasons.SkippedEscaped = countEscapedSlots(s)
-		return plan
-	}
 	return planNonBlock(w, s)
 }
 
@@ -181,9 +167,9 @@ func blockFormScope(s *analysis.Scope) bool {
 // planNonBlock plans region-local promotion for a scope that is not in
 // block form: a nested returning function keeps the scope's CFG from
 // covering every continuation, but slots whose loads and stores all live
-// in covered blocks — and which the uncovered bodies provably never reach
-// — promote exactly as in the block-form case. The uncovered bodies are
-// left untouched by the rewrite, which is sound because every def they
+// in CFG-covered blocks — and which the nested activations provably never
+// reach — promote exactly as in the block-form case. The uncovered bodies
+// are left untouched by the rewrite, which is sound because every def they
 // reference keeps its identity (checked below).
 func planNonBlock(w *ir.World, s *analysis.Scope) *m2rPlan {
 	plan := &m2rPlan{}
@@ -318,7 +304,7 @@ func slotAnchoredInBlocks(sl *ir.PrimOp, g *analysis.CFG) bool {
 
 // homeCont walks an effectful op's mem operand chain back to the parameter
 // anchoring it to its continuation, or nil when the chain is not a plain
-// backbone (a fork/join or an unrecognized def).
+// backbone of slots, allocs, loads and stores.
 func homeCont(op *ir.PrimOp) *ir.Continuation {
 	d := op.Op(0)
 	for {

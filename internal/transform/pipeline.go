@@ -36,14 +36,13 @@ func OptMangleOnly() Options { return Options{Mangle: true, Mem2Reg: true} }
 
 // Stats aggregates the per-pass statistics of one optimizer run.
 type Stats struct {
-	Cleanup     CleanupStats
-	CFF         CFFStats
-	Mem2Reg     Mem2RegStats
-	PE          PEStats
-	EffectSplit EffectSplitStats
-	Inlined     int
-	Contified   int
-	Closure     ClosureStats
+	Cleanup   CleanupStats
+	CFF       CFFStats
+	Mem2Reg   Mem2RegStats
+	PE        PEStats
+	Inlined   int
+	Contified int
+	Closure   ClosureStats
 }
 
 // Optimize runs the canonical pipeline for opts over w and lowers the
