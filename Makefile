@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet perfbench fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-diff bench-full bench-passes tables
+.PHONY: all build test race vet perfbench fmt ci fuzz-smoke fuzz crashers loadtest modules wasm chaos bench bench-full bench-passes tables
 
 all: build test
 
@@ -33,7 +33,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt vet perfbench build race modules wasm fuzz-smoke fuzz crashers loadtest chaos bench bench-diff
+ci: fmt vet perfbench build race modules wasm fuzz-smoke fuzz crashers loadtest chaos bench
 
 # modules compiles and runs the shipped three-module example (a imports b,
 # b imports and re-exports c) through the separate-compilation CLI path in
@@ -70,12 +70,16 @@ crashers:
 	THORIN_JOBS=4 $(GO) test -race -run TestCrashers ./internal/driver
 
 # loadtest is the compile-server smoke gate: an in-process thorind on an
-# ephemeral port serves concurrent cold+warm requests; the test asserts
-# that every warm request hit the content-addressed cache, that the
-# daemon's hit/miss counters reconcile exactly with the request
-# arithmetic, and that shutdown drains cleanly.
+# ephemeral port serves cold then warm requests (warm ones hit the
+# content-addressed cache with identical bytes), concurrent clients on a
+# warm cache all hit and the hit/miss counters reconcile exactly, a
+# single-module edit recompiles exactly one module artifact, a saturated
+# daemon sheds with 429 and a retrying client lands once a slot frees
+# (server sheds and retries equal what the client observed), and shutdown
+# drains cleanly. Latency and throughput are perfbench's daemon-mix
+# workload.
 loadtest:
-	$(GO) test -run 'TestLoadTestSmoke|TestModLoadSmoke|TestOverloadSmoke' -count=1 ./internal/bench
+	$(GO) test -run 'TestCompileColdThenWarm|TestConcurrentWarmHits|TestModulesColdWarmEdit|TestShedWhenSaturated|TestRetryAfterShedSucceeds|TestGracefulDrain' -count=1 ./internal/server
 
 # chaos is the deterministic fault-injection gate: the seeded chaos suite
 # (injected disk/pass/transport faults against a live daemon; asserts the
@@ -87,32 +91,11 @@ chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/server
 	$(GO) test -race -run 'TestChaosStorm' -count=1 ./internal/server
 
-# bench is the allocation-regression gate: a single-iteration smoke run of
-# every throughput benchmark (catches benchmarks that crash or regress into
-# errors), then the fast allocation measurement refreshing BENCH_pr4.json.
-# The JSON keeps the frozen pre-optimization baseline and overwrites only
-# the current numbers, so the delta stays reviewable in the diff.
+# bench is a single-iteration smoke run of every benchmark in
+# internal/bench (catches benchmarks that crash or regress into errors).
+# It writes no file; wall time and allocations are measured by perfbench.
 bench:
 	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./internal/bench
-	$(GO) run ./cmd/thorin-bench -alloc -o BENCH_pr4.json
-	$(GO) run ./cmd/thorin-bench -incremental -fast -o BENCH_pr5.json
-	$(GO) run ./cmd/thorin-bench -loadtest -o BENCH_pr6.json
-	$(GO) run ./cmd/thorin-bench -modload -o BENCH_pr7.json
-	$(GO) run ./cmd/thorin-bench -overload -o BENCH_pr8.json
-	$(GO) run ./cmd/thorin-bench -memory -fast -o BENCH_pr9.json
-	$(GO) run ./cmd/thorin-bench -backends -fast -o BENCH_pr10.json
-
-# bench-diff is the regression gate: re-measure the incremental-vs-full
-# fixpoint workload (at the same fast scale the committed report was taken
-# at) and fail if any workload's incremental Optimize ns/op regressed by
-# more than 10% against BENCH_pr5.json; then re-measure the effect-region
-# memory workload and fail if its VM instruction count regressed by more
-# than 10% against BENCH_pr9.json (the structural wins — promoted slots,
-# hoisted loads — are hard asserts inside the measurement, against the
-# before arm carried verbatim in that report).
-bench-diff:
-	$(GO) run ./cmd/thorin-bench -incremental -fast -diff BENCH_pr5.json
-	$(GO) run ./cmd/thorin-bench -memory -fast -diff BENCH_pr9.json
 
 # bench-full runs the whole evaluation harness at laptop scale.
 bench-full:

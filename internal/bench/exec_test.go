@@ -20,12 +20,24 @@ import (
 //
 //	go test -run='^$' -bench='Exec/fib/fun/vm' -benchmem ./internal/bench
 //
-// Under -short, n shrinks the way the backends report's fast mode does.
+// Under -short, n shrinks as backendsN(p, true) shrinks it.
 
-func compileArm(tb testing.TB, src string, target backend.Target) *driver.Result {
+// backendsN picks an arm's problem size: DefaultN, or with shrink set a
+// tenth of it for the array and iteration workloads (those whose DefaultN
+// exceeds 100), so the wasm interpreter finishes in test time.
+func backendsN(p *Program, shrink bool) int64 {
+	if !shrink || p.DefaultN <= 100 {
+		return p.DefaultN
+	}
+	return p.DefaultN / 10
+}
+
+// o2 is the canonical -O2 spec.
+var o2 = transform.SpecFor(transform.OptAll())
+
+func compileArm(tb testing.TB, src, spec string, target backend.Target) *driver.Result {
 	tb.Helper()
-	res, err := driver.CompileSpec(src, transform.SpecFor(transform.OptAll()),
-		analysis.ScheduleSmart, driver.Config{Jobs: 1, Target: target})
+	res, err := driver.CompileSpec(src, spec, analysis.ScheduleSmart, driver.Config{Jobs: 1, Target: target})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,7 +55,7 @@ func BenchmarkExec(b *testing.B) {
 			}
 			for _, target := range []backend.Target{backend.VM, backend.Wasm} {
 				b.Run(p.Name+"/"+style+"/"+string(target), func(b *testing.B) {
-					res := compileArm(b, src, target)
+					res := compileArm(b, src, o2, target)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for k := 0; k < b.N; k++ {
@@ -77,7 +89,7 @@ func TestExecAllocsIndependentOfN(t *testing.T) {
 			continue
 		}
 		t.Run(p.Name+"/vm", func(t *testing.T) {
-			m := vm.New(compileArm(t, p.Functional, backend.VM).Program, nil)
+			m := vm.New(compileArm(t, p.Functional, o2, backend.VM).Program, nil)
 			allocs := func(n int64) float64 {
 				return testing.AllocsPerRun(5, func() {
 					if _, err := m.Run(vm.Value{I: n}); err != nil {
@@ -90,7 +102,7 @@ func TestExecAllocsIndependentOfN(t *testing.T) {
 			}
 		})
 		t.Run(p.Name+"/wasm", func(t *testing.T) {
-			mod, err := wasm.Decode(compileArm(t, p.Functional, backend.Wasm).Wasm)
+			mod, err := wasm.Decode(compileArm(t, p.Functional, o2, backend.Wasm).Wasm)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -248,7 +248,7 @@ func TestRetryAfterShedSucceeds(t *testing.T) {
 	}()
 	<-start
 
-	var sheds atomic.Int64
+	var sheds, retries atomic.Int64
 	retrier := &Client{
 		Addr:           c.Addr,
 		Retries:        20,
@@ -256,6 +256,7 @@ func TestRetryAfterShedSucceeds(t *testing.T) {
 		RetryMaxDelay:  50 * time.Millisecond,
 		Seed:           42,
 		OnRetry: func(attempt int, cause error, sleep time.Duration) {
+			retries.Add(1)
 			var re *RemoteError
 			if errors.As(cause, &re) && re.Status == http.StatusTooManyRequests {
 				if sheds.Add(1) == 1 {
@@ -281,8 +282,11 @@ func TestRetryAfterShedSucceeds(t *testing.T) {
 	if m.Sheds != sheds.Load() {
 		t.Errorf("server sheds=%d, client observed %d", m.Sheds, sheds.Load())
 	}
-	if m.RetriesObserved == 0 {
-		t.Error("server observed no retries despite the attempt header")
+	if m.RetriesObserved != retries.Load() {
+		t.Errorf("server observed %d retries, client performed %d", m.RetriesObserved, retries.Load())
+	}
+	if m.OK != 2 {
+		t.Errorf("ok=%d, want 2: the held compile and the retried one", m.OK)
 	}
 	checkPartition(t, m)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -133,6 +134,60 @@ func TestCompileColdThenWarm(t *testing.T) {
 	}
 	if len(m.Passes) == 0 || m.Passes["cleanup"].Runs == 0 {
 		t.Errorf("per-pass totals not accumulated: %+v", m.Passes)
+	}
+}
+
+// TestConcurrentWarmHits: once every source of a small corpus has compiled
+// cold, concurrent clients sweeping the corpus are all served from cache
+// with no error, and the daemon's counters reconcile exactly with the
+// request arithmetic: one miss per distinct source, one hit per warm
+// request.
+func TestConcurrentWarmHits(t *testing.T) {
+	const sources, clients, rounds = 4, 4, 2
+	_, c := startServer(t, Config{})
+	for i := 0; i < sources; i++ {
+		if resp, _, err := c.Compile(&driver.Request{Source: chaosSrc(i)}); err != nil {
+			t.Fatal(err)
+		} else if resp.Cache != "miss" {
+			t.Fatalf("cold source %d served from %q, want miss", i, resp.Cache)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, clients*rounds*sources)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cc := &Client{Addr: c.Addr}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < sources; i++ {
+					resp, _, err := cc.Compile(&driver.Request{Source: chaosSrc(i)})
+					if err != nil {
+						errs <- err
+					} else if resp.Cache != "memory" {
+						errs <- fmt.Errorf("warm source %d served from %q, want memory", i, resp.Cache)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := int64(clients * rounds * sources)
+	if m.Requests != sources+warm || m.OK != m.Requests || m.Errors != 0 {
+		t.Errorf("requests=%d ok=%d errors=%d, want %d/%d/0", m.Requests, m.OK, m.Errors, sources+warm, sources+warm)
+	}
+	if m.CacheHits != warm || m.Cache.Misses != sources {
+		t.Errorf("hits=%d misses=%d, want %d/%d", m.CacheHits, m.Cache.Misses, warm, sources)
 	}
 }
 
